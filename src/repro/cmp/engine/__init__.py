@@ -76,7 +76,7 @@ ENGINE_GUARDED_SOURCES = (
 #: ENGINE_VERSION when simulation results changed) with::
 #:
 #:     python -m repro lint --refresh-engine-checksum
-ENGINE_SOURCE_CHECKSUM = "6b3ed2e946216cc79e0ce518ac3ac0cbcb41c86012cffb2fd15f7908110f0cd3"
+ENGINE_SOURCE_CHECKSUM = "82805ed74d08f8ae54b4eca1c219f9a67461e95b67ea756ab35a9e4a2ba34049"
 
 _ENGINES = {
     ENGINE_REFERENCE: ReferenceEngine,
